@@ -1,10 +1,11 @@
 """The :class:`ExecutionBackend` protocol and batch normalization helpers.
 
 Every execution engine in the library — the ideal statevector simulator, the
-vectorized batch engine, and the noisy device path — implements one uniform
-entry point::
+vectorized batch engine, and the noisy device path — implements two uniform
+entry points::
 
     backend.run(circuits, parameter_bindings, shots, seed) -> list[ExecutionResult]
+    backend.run_sweep(templates, theta_matrix, shots, seed) -> list[ExecutionResult]
 
 ``circuits`` may be a single circuit or a sequence; ``parameter_bindings``
 lets callers ship one *template* circuit together with many parameter
@@ -20,11 +21,18 @@ Binding semantics
 
 Each binding is either a ``Mapping[Parameter, float]`` or a flat sequence of
 floats assigned in first-appearance order (``assign_by_order``).
+
+``run_sweep`` executes every template at every row of a ``(points, P)``
+angle matrix without binding a circuit; results come back point-major with
+templates inner, exactly as ``run`` would return the same circuits bound in
+that order.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..simulator.result import ExecutionResult
@@ -40,8 +48,10 @@ class ExecutionBackend(Protocol):
     """Uniform execution interface over ideal, batched, and noisy engines.
 
     Implementations may accept additional keyword-only context (a device
-    footprint, a simulation timestamp, an externally-owned RNG), but every
-    backend understands the four core arguments.
+    footprint, a simulation timestamp, an externally-owned RNG) on both
+    entry points — backends without a device clock ignore it, so any backend
+    can serve a cloud endpoint — but every backend understands the core
+    arguments.
     """
 
     name: str
@@ -55,6 +65,17 @@ class ExecutionBackend(Protocol):
         **context,
     ) -> list[ExecutionResult]:
         """Execute a batch of circuits and return one result per circuit."""
+        ...
+
+    def run_sweep(
+        self,
+        templates: Sequence[QuantumCircuit],
+        theta_matrix: np.ndarray,
+        shots: int = 8192,
+        seed: int | None = None,
+        **context,
+    ) -> list[ExecutionResult]:
+        """Execute every template at every angle row, point-major."""
         ...
 
 

@@ -375,24 +375,7 @@ class BatchedStatevectorBackend:
                 [[float(v) for v in binding] for binding in parameter_bindings],
                 dtype=float,
             )
-            probabilities = sweep_probabilities(
-                [circuits],
-                theta,
-                program_cache=self.program_cache,
-                dtype=self.dtype,
-                tile=self.tile,
-            )[0]
-            rng = rng if rng is not None else np.random.default_rng(seed)
-            num_bits = len(measured_register(circuits))
-            return [
-                ExecutionResult(
-                    counts=sample_distribution(row, shots, rng, num_bits=num_bits),
-                    shots=shots,
-                    backend_name=self.name,
-                    metadata={"batch_size": theta.shape[0], "structure_groups": 1},
-                )
-                for row in probabilities
-            ]
+            return self.run_sweep([circuits], theta, shots, seed, rng)
 
         bound = normalize_batch(circuits, parameter_bindings)
         partitions = self._partition(bound)
@@ -421,8 +404,12 @@ class BatchedStatevectorBackend:
         shots: int = 8192,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
+        **_context,
     ) -> list[ExecutionResult]:
         """Execute a zero-rebind parameter sweep over template circuits.
+
+        Device context (``footprint``, ``now``) is accepted and ignored, as
+        in :meth:`run`.
 
         The result order is point-major with templates inner —
         ``[point0 × templates..., point1 × templates..., ...]`` — matching

@@ -13,7 +13,8 @@ per-circuit coherent biases applied by scaling rotation slots), a broadcast
 depolarizing mix, and one batched readout-confusion pass.
 :meth:`NoisyBackend.run_sweep` is the sweep-aware entry: a parameter-shift
 batch executes straight off its ``(points, P)`` shift matrix without binding
-a single circuit.  The cloud layer owns one backend per device endpoint.
+a single circuit.  Both entries run through :meth:`QPU.execute_batch`.  The
+cloud layer owns one backend per device endpoint.
 """
 
 from __future__ import annotations
@@ -94,6 +95,6 @@ class NoisyBackend:
             footprint = CircuitFootprint.from_circuit(templates[0])
         if rng is None and seed is not None:
             rng = np.random.default_rng(seed)
-        return self.qpu.execute_sweep(
-            templates, theta_matrix, footprint, shots, now=now, rng=rng
+        return self.qpu.execute_batch(
+            templates, footprint, shots, now=now, rng=rng, theta_matrix=theta_matrix
         )

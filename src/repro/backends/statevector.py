@@ -86,12 +86,14 @@ class StatevectorBackend:
         shots: int = 8192,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
+        **_context,
     ) -> list[ExecutionResult]:
         """Execute a zero-rebind parameter sweep (see the batched backend).
 
         Sampling stays strictly sequential in point-major order, so the RNG
         stream is consumed exactly as if each bound circuit had been
-        submitted through :meth:`run` one by one.
+        submitted through :meth:`run` one by one.  Device context is
+        accepted and ignored, as in :meth:`run`.
         """
         return sampled_sweep_results(
             self.name,

@@ -38,7 +38,6 @@ from ..faults.errors import (
     JobRetriesExhausted,
 )
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from ..simulator.result import ExecutionResult
 from ..telemetry import TELEMETRY as _telemetry
 from .job import CloudJob, JobStatus
 from .queueing import QueueModel, StatisticalQueuePolicy, queue_model_for
@@ -51,6 +50,10 @@ __all__ = ["DeviceEndpoint", "CloudProvider", "UtilizationRecord"]
 
 #: Builds the execution backend serving one device endpoint.
 BackendFactory = Callable[[QPU], ExecutionBackend]
+
+#: What one job executes: bound circuits with ``None``, or templates with
+#: their ``(points, P)`` sweep matrix.
+JobBatch = tuple[Sequence[QuantumCircuit], "np.ndarray | None"]
 
 
 @dataclass
@@ -245,8 +248,14 @@ class CloudProvider:
         now: float,
         shots: int | None = None,
         priority: int = 0,
+        theta_matrix: np.ndarray | None = None,
     ) -> CloudJob:
-        """Submit a batch of bound circuits and simulate it to completion.
+        """Submit a batch of circuits and simulate it to completion.
+
+        Without ``theta_matrix`` every circuit must be bound.  With a
+        ``(points, P)`` ``theta_matrix`` the job is a parameter sweep:
+        ``circuits`` are templates, each executed at every row, in
+        point-major order with templates inner, and no circuit is bound.
 
         The returned job is already in the ``DONE`` state with its results
         and timing populated; callers (EQC client nodes, baselines) treat
@@ -262,30 +271,35 @@ class CloudProvider:
             raise ValueError("a job needs at least one circuit")
         endpoint = self._endpoint(device_name)
         shots = int(shots) if shots is not None else self.default_shots
+        num_circuits = len(circuits)
+        if theta_matrix is not None:
+            theta_matrix = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
+            num_circuits *= theta_matrix.shape[0]
+        batch = (circuits, theta_matrix)
 
         job = CloudJob(
             job_id=self._new_job_id(),
             device_name=device_name,
-            num_circuits=len(circuits),
+            num_circuits=num_circuits,
             shots=shots,
             submit_time=float(now),
         )
 
         if self.scheduler is not None:
             return self._submit_scheduled(
-                endpoint, job, circuits, footprint, now, shots, priority
+                endpoint, job, batch, footprint, now, shots, priority
             )
 
         if self._faults is not None:
             return self._submit_with_faults(
-                endpoint, job, circuits, footprint, now, shots
+                endpoint, job, batch, footprint, now, shots
             )
 
         start_time = self._queue_policy.start_time(endpoint, now)
         job.start_time = start_time
         job.status = JobStatus.RUNNING
 
-        elapsed = self._execute_batch(endpoint, job, circuits, footprint, start_time, shots)
+        elapsed = self._execute_batch(endpoint, job, batch, footprint, start_time, shots)
         for result in job.results:
             result.queue_seconds = job.queue_seconds
 
@@ -307,7 +321,7 @@ class CloudProvider:
         self,
         endpoint: DeviceEndpoint,
         job: CloudJob,
-        circuits: Sequence[QuantumCircuit],
+        batch: "JobBatch",
         footprint: CircuitFootprint,
         now: float,
         shots: int,
@@ -424,7 +438,7 @@ class CloudProvider:
             job.start_time = start_time
             job.status = JobStatus.RUNNING
             elapsed = self._execute_batch(
-                endpoint, job, circuits, footprint, start_time, shots
+                endpoint, job, batch, footprint, start_time, shots
             )
             delay = faults.result_delay(device)
             if delay > 0.0:
@@ -493,32 +507,36 @@ class CloudProvider:
         self,
         endpoint: DeviceEndpoint,
         job: CloudJob,
-        circuits: Sequence[QuantumCircuit],
+        batch: "JobBatch",
         footprint: CircuitFootprint,
         start_time: float,
         shots: int,
     ) -> float:
         """Run one multi-circuit job on an endpoint; returns elapsed seconds.
 
-        The whole job is one backend batch; the backend owns the in-batch
-        device clock and the physics, the provider owns queueing and
-        per-batch utilization accounting.  On a noisy endpoint the batch
-        flows through :meth:`QPU.execute_batch` — the vectorized mixing
+        ``batch`` is ``(circuits, theta_matrix)`` as :meth:`submit` received
+        it: bound circuits go to the backend's ``run``, a sweep to its
+        ``run_sweep``.  The whole job is one backend batch; the backend owns
+        the in-batch device clock and the physics, the provider owns queueing
+        and per-batch utilization accounting.  On a noisy endpoint either
+        form flows through :meth:`QPU.execute_batch` — the vectorized mixing
         pipeline: per-circuit clock offsets and noise specs are computed up
-        front, the whole job simulates as one ``(batch, 2**n)`` matrix, and
-        shots are drawn from the endpoint's RNG stream in batch order, so
-        seeded histories are bit-exact with sequential execution.  Both
-        queueing regimes (the statistical fallback and the scheduler's
-        service-start event) share this path, so the physics can never
-        diverge between them.
+        front, the whole job simulates as ``(points, 2**n)`` matrices, and
+        shots are drawn from the endpoint's RNG stream in execution order, so
+        a sweep and the same circuits bound give identical results.  Every
+        submission branch (statistical, fault-injected, scheduled) shares
+        this path, so the physics can never diverge between them.
         """
-        results = endpoint.backend.run(
-            list(circuits),
-            shots=shots,
-            footprint=footprint,
-            now=start_time,
-            rng=endpoint.rng,
+        circuits, theta_matrix = batch
+        context = dict(
+            shots=shots, footprint=footprint, now=start_time, rng=endpoint.rng
         )
+        if theta_matrix is None:
+            results = endpoint.backend.run(list(circuits), **context)
+        else:
+            results = endpoint.backend.run_sweep(
+                list(circuits), theta_matrix, **context
+            )
         elapsed = 0.0
         for result in results:
             if result.duration_seconds == 0.0:
@@ -536,7 +554,7 @@ class CloudProvider:
         self,
         endpoint: DeviceEndpoint,
         job: CloudJob,
-        circuits: Sequence[QuantumCircuit],
+        batch: "JobBatch",
         footprint: CircuitFootprint,
         now: float,
         shots: int,
@@ -555,7 +573,7 @@ class CloudProvider:
             # fresh start time; drop any partial results from the cut run.
             job.results.clear()
             return self._execute_batch(
-                endpoint, job, circuits, footprint, start_time, shots
+                endpoint, job, batch, footprint, start_time, shots
             )
 
         job.status = JobStatus.RUNNING
@@ -563,7 +581,7 @@ class CloudProvider:
             device_name=endpoint.qpu.name,
             arrival=float(now),
             tenant="eqc",
-            num_circuits=len(circuits),
+            num_circuits=job.num_circuits,
             priority=priority,
             service=service,
         )

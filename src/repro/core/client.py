@@ -5,13 +5,13 @@ paper's list: it receives the circuit template and loss definition, transpiles
 the template once for its device's topology, and then, for every assigned
 gradient task, it
 
-1. builds the forward/backward (parameter-shift) circuits from the master's
-   current parameter snapshot,
+1. builds the forward/backward (parameter-shift) sweep from the master's
+   current parameter snapshot: the measurement templates plus a
+   ``(points, P)`` angle matrix, with no circuit bound,
 2. computes the ``PCorrect`` estimate from the transpiled footprint and the
    device's *reported* calibration at submission time,
-3. submits the circuits to the cloud provider and, once results return,
-   processes the two probability distributions through the loss into the
-   scalar gradient,
+3. submits the sweep to the cloud provider and, once results return,
+   processes the measured counts through the loss into the scalar gradient,
 4. hands the gradient and its ``PCorrect`` back to the master.
 
 In the discrete-event reproduction the submit-and-wait is collapsed into a
@@ -22,8 +22,8 @@ which realizes the asynchrony of the real Ray-based system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Sequence
 
 from ..backends.cache import TranspileCache
 from ..cloud.provider import CloudProvider
@@ -80,6 +80,8 @@ class EQCClientNode:
         #: Per-client view keyed by the objective's template keys (kept so
         #: ``representative_footprint`` can summarize what *this* client ran).
         self._transpile_cache: dict[Hashable, TranspileResult] = {}
+        #: Averaged footprint per job template set (transpiling on first use).
+        self._job_footprints: dict[tuple, CircuitFootprint] = {}
         self.jobs_completed = 0
 
     # ------------------------------------------------------------------
@@ -103,16 +105,22 @@ class EQCClientNode:
         circuit induction in the paper, and our devices scale their noise
         from the same structure.
         """
-        if job is not None:
-            keys = list(dict.fromkeys(zip(job.template_keys, job.templates)))
-        else:
-            keys = list(self._transpile_cache.items())
-            if not keys:
+        if job is None:
+            if not self._transpile_cache:
                 raise ValueError("client has no transpiled templates yet")
-            results = [value.footprint for _, value in keys]
-            return _average_footprints(results)
-        results = [self._transpiled(key, template).footprint for key, template in keys]
-        return _average_footprints(results)
+            return _average_footprints(
+                [value.footprint for value in self._transpile_cache.values()]
+            )
+        footprint = self._job_footprints.get(job.template_keys)
+        if footprint is None:
+            footprint = _average_footprints(
+                [
+                    self._transpiled(key, template).footprint
+                    for key, template in zip(job.template_keys, job.templates)
+                ]
+            )
+            self._job_footprints[job.template_keys] = footprint
+        return footprint
 
     # ------------------------------------------------------------------
     def current_p_correct(self, job: GradientJobSpec, now: float) -> float:
@@ -142,24 +150,20 @@ class EQCClientNode:
     ) -> GradientOutcome:
         """Serve one gradient task end to end (Algorithm 2 body).
 
-        ``job_spec`` lets a caller that already built the task's circuit
-        batch (the parallel worker's timing preview) hand it in instead of
-        rebuilding; building it here from the same ``(task, theta)`` pair
-        produces an identical batch.
+        ``job_spec`` lets a caller that already built the task's sweep (the
+        parallel worker) hand it in instead of rebuilding; building it here
+        from the same ``(task, theta)`` pair produces an identical sweep.
         """
         if job_spec is None:
             job_spec = self.objective.build_job(task, theta)
-
-        # Transpile every distinct template once (cached across tasks).
-        for key, template in zip(job_spec.template_keys, job_spec.templates):
-            self._transpiled(key, template)
 
         footprint = self.representative_footprint(job_spec)
         p_correct = self.current_p_correct(job_spec, submit_time)
 
         cloud_job = self.provider.submit(
             device_name=self.qpu.name,
-            circuits=list(job_spec.circuits),
+            circuits=job_spec.templates,
+            theta_matrix=job_spec.theta_matrix,
             footprint=footprint,
             now=submit_time,
             shots=self.shots,
@@ -183,7 +187,7 @@ class EQCClientNode:
             submit_time=float(submit_time),
             finish_time=float(cloud_job.finish_time),
             theta_version=int(theta_version),
-            num_circuits=len(job_spec.circuits),
+            num_circuits=job_spec.num_circuits,
             success_probability_truth=truth,
         )
 

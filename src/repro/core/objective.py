@@ -1,14 +1,15 @@
 """Gradient objectives: what a client node actually runs for one task.
 
 A :class:`VQAObjective` turns a :class:`~repro.vqa.tasks.GradientTask` plus a
-parameter snapshot into a batch of bound circuits, and later turns the
-measured counts back into a scalar gradient.  Two concrete objectives cover
-the paper's applications:
+parameter snapshot into a parameter sweep — the measurement templates and a
+``(points, P)`` angle matrix, nothing bound — and later turns the measured
+counts back into a scalar gradient.  Two concrete objectives cover the
+paper's applications:
 
-* :class:`EnergyObjective` — VQE and QAOA: forward/backward parameter-shift
-  circuits for every qubit-wise-commuting measurement group of the
-  Hamiltonian.
-* :class:`QnnObjective` — QNN training: a centre evaluation plus the
+* :class:`EnergyObjective` — VQE and QAOA: the forward/backward
+  parameter-shift points over every qubit-wise-commuting measurement group of
+  the Hamiltonian.
+* :class:`QnnObjective` — QNN training: a centre point plus the
   forward/backward pair for the assigned data point, combined through the
   squared-loss chain rule.
 """
@@ -19,34 +20,49 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from ..circuit.circuit import QuantumCircuit
 from ..hamiltonian.expectation import EnergyEstimator
 from ..simulator.result import Counts
-from ..vqa.gradient import gradient_from_energies, shifted_parameter_vectors
+from ..vqa.gradient import gradient_from_energies, shifted_theta_matrix
 from ..vqa.qnn import QNNProblem
 from ..vqa.tasks import GradientTask
 
 __all__ = ["GradientJobSpec", "VQAObjective", "EnergyObjective", "QnnObjective"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientJobSpec:
-    """The circuits a client must run to serve one gradient task.
+    """The parameter sweep a client must run to serve one gradient task.
 
-    ``template_keys[i]`` identifies the parameterized template circuit that
-    ``circuits[i]`` was bound from; clients use it to cache one transpilation
-    per template per device.
+    ``templates`` are the job's distinct parameterized measurement circuits
+    and ``template_keys[i]`` identifies ``templates[i]`` (clients cache one
+    transpilation per key per device).  Every row of ``theta_matrix`` is one
+    parameter point; the job executes every template at every point, in
+    point-major order with templates inner, so it holds
+    ``points x templates`` circuits without binding any of them.
     """
 
-    circuits: tuple[QuantumCircuit, ...]
-    template_keys: tuple[Hashable, ...]
     templates: tuple[QuantumCircuit, ...]
+    template_keys: tuple[Hashable, ...]
+    theta_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.circuits) == len(self.template_keys) == len(self.templates)):
-            raise ValueError("circuits, template_keys and templates must align")
-        if not self.circuits:
-            raise ValueError("a gradient job needs at least one circuit")
+        if len(self.template_keys) != len(self.templates):
+            raise ValueError("templates and template_keys must align")
+        if not self.templates:
+            raise ValueError("a gradient job needs at least one template")
+        theta = np.array(self.theta_matrix, dtype=float, ndmin=2)
+        if theta.ndim != 2 or theta.shape[0] == 0:
+            raise ValueError("theta_matrix must be a non-empty (points, P) matrix")
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta_matrix", theta)
+
+    @property
+    def num_circuits(self) -> int:
+        """Circuits the job executes: one per (point, template) pair."""
+        return self.theta_matrix.shape[0] * len(self.templates)
 
 
 class VQAObjective(ABC):
@@ -59,17 +75,16 @@ class VQAObjective(ABC):
 
     @abstractmethod
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
-        """Bound circuits needed to differentiate ``task`` at ``theta``."""
+        """The parameter sweep needed to differentiate ``task`` at ``theta``."""
 
+    @abstractmethod
     def circuits_per_job(self, task: GradientTask) -> int:
         """How many circuits :meth:`build_job` will produce for ``task``.
 
-        Queue timing depends only on the circuit *count*, never on the bound
-        angles, so the parallel executor answers finish-time previews from
-        this without building (or binding) a single circuit.  Subclasses with
-        a cheaper answer than actually building the job should override.
+        Queue timing depends only on the circuit *count*, never on the
+        angles, so the parallel executor previews finish times from this
+        without building a job.
         """
-        return len(self.build_job(task, [0.0] * self.num_parameters).circuits)
 
     @abstractmethod
     def gradient_from_counts(self, task: GradientTask, counts: Sequence[Counts]) -> float:
@@ -100,13 +115,11 @@ class EnergyObjective(VQAObjective):
         return self.estimator.num_groups
 
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
-        pair = shifted_parameter_vectors(theta, task.parameter_index)
-        forward = self.estimator.measurement_circuits(pair.forward)
-        backward = self.estimator.measurement_circuits(pair.backward)
-        circuits = tuple(forward) + tuple(backward)
-        keys = self._template_keys + self._template_keys
-        templates = self._templates + self._templates
-        return GradientJobSpec(circuits=circuits, template_keys=keys, templates=templates)
+        return GradientJobSpec(
+            templates=self._templates,
+            template_keys=self._template_keys,
+            theta_matrix=shifted_theta_matrix(theta, [task.parameter_index]),
+        )
 
     def circuits_per_job(self, task: GradientTask) -> int:
         return 2 * self.estimator.num_groups
@@ -143,20 +156,16 @@ class QnnObjective(VQAObjective):
 
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
         estimator = self._estimator(task)
-        pair = shifted_parameter_vectors(theta, task.parameter_index)
-        centre = estimator.measurement_circuits(list(theta))
-        forward = estimator.measurement_circuits(pair.forward)
-        backward = estimator.measurement_circuits(pair.backward)
-        groups = estimator.num_groups
-        keys = tuple(
-            (task.data_index, "group", index % groups)
-            for index in range(3 * groups)
-        )
-        templates = tuple(estimator.template_circuits()) * 3
+        centre = np.asarray([float(v) for v in theta])
         return GradientJobSpec(
-            circuits=tuple(centre) + tuple(forward) + tuple(backward),
-            template_keys=keys,
-            templates=templates,
+            templates=tuple(estimator.template_circuits()),
+            template_keys=tuple(
+                (task.data_index, "group", index)
+                for index in range(estimator.num_groups)
+            ),
+            theta_matrix=np.vstack(
+                [centre, shifted_theta_matrix(centre, [task.parameter_index])]
+            ),
         )
 
     def circuits_per_job(self, task: GradientTask) -> int:

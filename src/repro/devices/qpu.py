@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ from ..simulator.mixing import (
     execute_with_mixing,
     noisy_probabilities,
     noisy_probabilities_batch,
-    noisy_sweep_probabilities,
 )
 from ..simulator.result import Counts, ExecutionResult
 from ..simulator.sampler import sample_distribution_batch
@@ -160,6 +160,9 @@ class QPU:
         #: Raw per-cycle calibration value lists consumed by the fast
         #: execution-noise path (see :meth:`execution_noise`).
         self._cycle_stats: dict[int, tuple] = {}
+        #: Published property snapshots per (cycle, refresh age): a pure
+        #: function of the two, asked for on every client submission.
+        self._estimated_cache: dict[tuple[int, float], CalibrationSnapshot] = {}
 
     # ------------------------------------------------------------------
     # identity / convenience
@@ -193,6 +196,7 @@ class QPU:
         state = self.__dict__.copy()
         state["_reported_cache"] = {}
         state["_cycle_stats"] = {}
+        state["_estimated_cache"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -243,12 +247,15 @@ class QPU:
         cross-talk or a burst that started after the last refresh — which is
         the gap the Fig. 4 scatter quantifies.
         """
-        reported = self.reported_calibration(now)
         refresh = max(self.spec.properties_refresh_hours, 1e-6)
         age = self.hours_since_calibration(now)
-        last_refresh_age = math.floor(age / refresh) * refresh
-        factor = self._drift.drift_factor(last_refresh_age, self.calibration_cycle(now))
-        return reported.scale_errors(factor)
+        key = (self.calibration_cycle(now), math.floor(age / refresh) * refresh)
+        snapshot = self._estimated_cache.get(key)
+        if snapshot is None:
+            factor = self._drift.drift_factor(key[1], key[0])
+            snapshot = self.reported_calibration(now).scale_errors(factor)
+            self._estimated_cache[key] = snapshot
+        return snapshot
 
     def drift_factor(self, now: float) -> float:
         """Multiplicative error inflation relative to the reported snapshot."""
@@ -451,117 +458,61 @@ class QPU:
         shots: int,
         now: float,
         rng: np.random.Generator | None = None,
+        *,
+        theta_matrix: np.ndarray | None = None,
     ) -> list[ExecutionResult]:
-        """Run a batch of bound circuits back to back on this device.
+        """Run a batch back to back on this device.
 
-        This is the device-side batch entry point the cloud layer submits
-        multi-circuit jobs through.  The per-circuit clock offsets and noise
-        specs are computed up front (:meth:`noise_timeline`), the whole batch
-        flows through the vectorized mixing pipeline
-        (:func:`~repro.simulator.mixing.noisy_probabilities_batch`) as one
-        ``(batch, 2**n)`` matrix, and shots are sampled from the device RNG
-        stream in batch order — so noise, drift, and the RNG stream evolve
-        exactly as they would for the equivalent sequence of single
-        executions (:meth:`execute`, the sequential reference).  Batching
-        changes the wall-clock cost, never the physics.
+        The device-side batch entry point the cloud layer submits jobs
+        through.  ``circuits`` are bound circuits, or — with a
+        ``(points, P)`` ``theta_matrix`` — templates swept over its rows with
+        no circuit bound, point-major with templates inner.  Each flat
+        position occupies its own device job slot: clock offsets and noise
+        specs are computed up front (:meth:`noise_timeline`), the batch flows
+        through :func:`~repro.simulator.mixing.noisy_probabilities_batch`,
+        and shots are drawn from the device RNG stream in flat order — so
+        noise, drift and the RNG stream evolve exactly as for the equivalent
+        sequence of :meth:`execute` calls (the sequential reference), and a
+        sweep gives the same results as its circuits bound.
         """
+        circuits = list(circuits)
         if not circuits:
             raise ValueError("a batch needs at least one circuit")
         if shots < 1:
             raise ValueError("shots must be >= 1")
         rng = rng if rng is not None else self._rng
-        _, durations, specs, metadata = self._timeline_with_metadata(
-            len(circuits), footprint, now
-        )
-        probabilities = noisy_probabilities_batch(circuits, specs)
-        return self._sampled_results(
-            circuits, probabilities, durations, metadata, shots, rng
-        )
-
-    def execute_sweep(
-        self,
-        templates: Sequence[QuantumCircuit],
-        theta_matrix: np.ndarray,
-        footprint: CircuitFootprint,
-        shots: int,
-        now: float,
-        rng: np.random.Generator | None = None,
-    ) -> list[ExecutionResult]:
-        """Run a zero-rebind parameter sweep with this device's noise.
-
-        The sweep's flat execution order is point-major with templates inner
-        (the :func:`repro.vqa.gradient.parameter_shift_batch` order); each
-        flat position occupies its own device job slot, exactly as if the
-        bound circuits had been submitted through :meth:`execute_batch` — but
-        no circuit is ever bound.
-        """
-        templates = list(templates)
-        theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
-        if not templates:
-            raise ValueError("a sweep needs at least one template")
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        rng = rng if rng is not None else self._rng
-        flat = theta.shape[0] * len(templates)
-        _, durations, specs, metadata = self._timeline_with_metadata(
-            flat, footprint, now
-        )
-        probabilities = noisy_sweep_probabilities(templates, theta, specs)
-        flat_templates = [
-            templates[i % len(templates)] for i in range(flat)
-        ]
-        return self._sampled_results(
-            flat_templates, probabilities, durations, metadata, shots, rng
-        )
-
-    def _sampled_results(
-        self,
-        circuits: Sequence[QuantumCircuit],
-        probabilities: Sequence[np.ndarray],
-        durations: Sequence[float],
-        metadata: Sequence[dict],
-        shots: int,
-        rng: np.random.Generator,
-    ) -> list[ExecutionResult]:
-        """Sample a batch's distributions in batch order from one RNG stream.
-
-        Consecutive circuits with equal measured-register widths draw their
-        shots through one batched multinomial call; NumPy consumes the bit
-        stream row by row, so draws and the final generator state are
-        identical to per-circuit :func:`sample_distribution` calls.
-        """
         widths = [
             len(c.measured_qubits or tuple(range(c.num_qubits))) for c in circuits
         ]
-        counts_list: list[Counts] = []
-        index = 0
-        total = len(circuits)
-        while index < total:
-            end = index + 1
-            while end < total and widths[end] == widths[index]:
-                end += 1
-            counts_list.extend(
-                sample_distribution_batch(
-                    np.stack(probabilities[index:end]),
-                    shots,
-                    rng,
-                    num_bits=widths[index],
-                )
-            )
-            index = end
+        if theta_matrix is not None:
+            theta_matrix = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
+            widths = widths * theta_matrix.shape[0]
+        _, durations, specs, metadata = self._timeline_with_metadata(
+            len(widths), footprint, now
+        )
+        probabilities = noisy_probabilities_batch(circuits, specs, theta_matrix)
 
-        results: list[ExecutionResult] = []
-        for counts, duration, meta in zip(counts_list, durations, metadata):
-            results.append(
-                ExecutionResult(
-                    counts=counts,
-                    shots=shots,
-                    backend_name=self.name,
-                    duration_seconds=duration,
-                    metadata=meta,
-                )
+        # Each run of equal measured-register widths draws its shots in one
+        # batched multinomial call; NumPy consumes the bit stream row by row,
+        # so draws and the final generator state match per-circuit sampling.
+        counts_list: list[Counts] = []
+        start = 0
+        for width, run in groupby(widths):
+            end = start + len(list(run))
+            counts_list += sample_distribution_batch(
+                np.stack(probabilities[start:end]), shots, rng, num_bits=width
             )
-        return results
+            start = end
+        return [
+            ExecutionResult(
+                counts=counts,
+                shots=shots,
+                backend_name=self.name,
+                duration_seconds=duration,
+                metadata=meta,
+            )
+            for counts, duration, meta in zip(counts_list, durations, metadata)
+        ]
 
     def noisy_distribution(
         self, circuit: QuantumCircuit, footprint: CircuitFootprint, now: float

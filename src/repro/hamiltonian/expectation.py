@@ -12,7 +12,12 @@ from ..engine import execute_program, parameter_plan, plan_slot_values
 from ..engine.cache import shared_program_cache
 from ..simulator.result import Counts
 from ..simulator.statevector import simulate_statevector
-from .grouping import MeasurementGroup, group_qubitwise_commuting, measurement_basis_circuit
+from .grouping import (
+    MeasurementGroup,
+    group_qubitwise_commuting,
+    group_sign_matrix,
+    measurement_basis_circuit,
+)
 from .pauli import PauliSum
 
 __all__ = [
@@ -44,27 +49,6 @@ def expectation_from_group_counts(
     return float(
         sum(group.expectation_from_counts(counts) for group, counts in zip(groups, counts_per_group))
     )
-
-
-def group_sign_matrix(group: MeasurementGroup) -> np.ndarray:
-    """The ``(terms, 2**n)`` eigenvalue matrix of one measurement group.
-
-    Entry ``(t, i)`` is the ±1 eigenvalue of the group's ``t``-th term
-    (after its basis rotation) on basis state ``i`` — the parity of the
-    measured bits on the term's support.  Against a stack of measured
-    distributions ``probs`` of shape ``(points, 2**n)``, per-term
-    expectations are one matrix product ``probs @ sign.T`` instead of the
-    per-qubit axis-move loop of ``Statevector.expectation_pauli``.
-    """
-    n = group.num_qubits
-    index = np.arange(1 << n)
-    signs = np.empty((len(group.terms), 1 << n), dtype=float)
-    for row, term in enumerate(group.terms):
-        parity = np.zeros(index.shape, dtype=np.intp)
-        for qubit in term.support:
-            parity ^= (index >> (n - 1 - qubit)) & 1
-        signs[row] = 1.0 - 2.0 * parity
-    return signs
 
 
 class EnergyEstimator:

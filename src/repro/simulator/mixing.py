@@ -46,7 +46,6 @@ __all__ = [
     "execute_with_mixing",
     "noisy_probabilities",
     "noisy_probabilities_batch",
-    "noisy_sweep_probabilities",
 ]
 
 _ROTATION_GATES = frozenset({"rx", "ry", "rz", "rzz"})
@@ -109,36 +108,27 @@ def apply_coherent_bias(circuit: QuantumCircuit, bias: float) -> QuantumCircuit:
     return biased
 
 
-def _ideal_probabilities(circuit: QuantumCircuit, bias: float) -> np.ndarray:
-    """Ideal measured-register distribution via the compiled engine.
-
-    The circuit's structure compiles once (shared, structure-keyed cache);
-    the coherent over-rotation bias is applied by scaling the rotation slots
-    of the extracted angle vector — the same ``theta * (1 + bias)`` floats
-    :func:`apply_coherent_bias` would have bound, with zero circuit
-    rebuilding.
-    """
-    program = shared_program_cache().get_or_compile(circuit)
-    thetas = slot_values_from_circuits(program, [circuit])
-    if bias != 0.0:
-        scale = np.array(
-            [1.0 + bias if g in _ROTATION_GATES else 1.0 for g in program.slot_gates]
-        )
-        thetas = thetas * scale
-    states = execute_program(program, thetas)
-    measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
-    return marginal_probabilities(states, measured, circuit.num_qubits)[0]
-
-
 def noisy_probabilities(
     circuit: QuantumCircuit,
     noise: MixingNoiseSpec,
 ) -> np.ndarray:
-    """The analytic noisy outcome distribution over the measured qubits."""
+    """The analytic noisy outcome distribution over the measured qubits.
+
+    The sequential reference of :func:`noisy_probabilities_batch`.  The
+    circuit's structure compiles once (shared, structure-keyed cache) and
+    the coherent over-rotation bias scales the rotation slots of the
+    extracted angle vector — the same ``theta * (1 + bias)`` floats
+    :func:`apply_coherent_bias` would have bound.
+    """
     if not circuit.is_bound:
         raise ValueError("circuit has unbound parameters")
     measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
-    ideal = _ideal_probabilities(circuit, noise.coherent_bias)
+    program = shared_program_cache().get_or_compile(circuit)
+    thetas = _bias_scaled(
+        slot_values_from_circuits(program, [circuit]), program.slot_gates, [noise]
+    )
+    states = execute_program(program, thetas)
+    ideal = marginal_probabilities(states, measured, circuit.num_qubits)[0]
 
     uniform = np.full_like(ideal, 1.0 / ideal.size)
     mixed = noise.success_probability * ideal + (1.0 - noise.success_probability) * uniform
@@ -152,105 +142,82 @@ def noisy_probabilities(
 def noisy_probabilities_batch(
     circuits: Sequence[QuantumCircuit],
     noises: Sequence[MixingNoiseSpec],
+    theta_matrix: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Analytic noisy outcome distributions for a whole device batch at once.
 
-    The vectorized counterpart of :func:`noisy_probabilities`: the batch is
-    partitioned by gate structure, each partition runs as **one** compiled
-    program execution over its ``(batch, slots)`` angle matrix (per-circuit
-    coherent biases applied by scaling rotation slots row-wise), the
-    depolarizing mix is a single broadcast combine against the uniform
-    distribution, and readout confusion is one batched per-bit contraction.
-    Every arithmetic step performs the identical per-row operations the
-    sequential path performs, so row ``i`` of the result matches
-    ``noisy_probabilities(circuits[i], noises[i])`` to within ~1e-16 (the
-    only difference is the GEMM batch shape inside the compiled engine) —
-    far below the multinomial sampler's decision thresholds, which is why
-    the seeded golden histories stay bit-exact.
+    The single entry of the device mixing pipeline.  ``circuits`` are bound
+    circuits (partitioned by gate structure, angles read off the
+    instructions), or — with a ``(points, P)`` ``theta_matrix`` — templates
+    executed at every row with no circuit bound, in flat point-major order
+    with templates inner.  ``noises`` holds one spec per flat position,
+    evaluated at its spot on the device clock by the caller.
 
-    Args:
-        circuits: fully-bound circuits (any mix of structures).
-        noises: one :class:`MixingNoiseSpec` per circuit — each evaluated at
-            that circuit's position on the device clock by the caller.
+    Each structure or template runs as **one** compiled program execution
+    (coherent biases scale rotation slots row-wise); the depolarizing mix
+    and readout confusion then run once per register width.  Every step is
+    the per-row arithmetic of :func:`noisy_probabilities`, so rows match it
+    to ~1e-16 (only the engine's GEMM batch shape differs) — far below the
+    sampler's decision thresholds, which keeps seeded histories bit-exact —
+    and a sweep gives the same rows as its circuits bound.
 
     Returns:
-        One measured-register distribution per circuit, in input order.
+        One measured-register distribution per flat position, in order.
     """
     circuits = list(circuits)
     noises = list(noises)
     if not circuits:
         raise ValueError("a batch needs at least one circuit")
-    if len(circuits) != len(noises):
-        raise ValueError(
-            f"{len(circuits)} circuits do not align with {len(noises)} noise specs"
-        )
-    for circuit in circuits:
-        if not circuit.is_bound:
-            raise ValueError("circuit has unbound parameters")
-
-    partitions: dict[object, list[int]] = {}
-    for index, circuit in enumerate(circuits):
-        partitions.setdefault(circuit.structure_key, []).append(index)
-
     cache = shared_program_cache()
-    out: list[np.ndarray | None] = [None] * len(circuits)
-    for indices in partitions.values():
-        members = [circuits[i] for i in indices]
-        specs = [noises[i] for i in indices]
-        first = members[0]
-        program = cache.get_or_compile(first)
-        thetas = slot_values_from_circuits(program, members)
-        thetas = _bias_scaled(thetas, program.slot_gates, specs)
-        states = execute_program(program, thetas)
-        measured = first.measured_qubits or tuple(range(first.num_qubits))
-        ideal = marginal_probabilities(states, measured, first.num_qubits)
-        mixed = _mix_and_confuse(ideal, specs, len(measured))
-        for row, index in enumerate(indices):
-            out[index] = mixed[row]
-    return out  # type: ignore[return-value]
-
-
-def noisy_sweep_probabilities(
-    templates: Sequence[QuantumCircuit],
-    theta_matrix: np.ndarray,
-    noises: Sequence[MixingNoiseSpec],
-) -> list[np.ndarray]:
-    """Noisy distributions of a zero-rebind parameter sweep on one device.
-
-    The sweep-aware entry of the batched pipeline: each template compiles
-    once and executes over the whole ``(points, P)`` parameter matrix — no
-    circuit is ever bound.  ``noises`` is indexed in the **flat execution
-    order** of the sweep, point-major with templates inner (the order
-    :meth:`~repro.backends.batched.BatchedStatevectorBackend.run_sweep`
-    samples in), because each flat position sits at its own spot on the
-    device clock.  The returned distributions follow the same flat order.
-    """
-    templates = list(templates)
-    theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
-    points = theta.shape[0]
-    noises = list(noises)
-    if len(noises) != points * len(templates):
+    if theta_matrix is None:
+        for circuit in circuits:
+            if not circuit.is_bound:
+                raise ValueError("circuit has unbound parameters")
+        flat = len(circuits)
+        partitions: dict[object, list[int]] = {}
+        for index, circuit in enumerate(circuits):
+            partitions.setdefault(circuit.structure_key, []).append(index)
+        runs = []
+        for indices in partitions.values():
+            first = circuits[indices[0]]
+            program = cache.get_or_compile(first)
+            members = [circuits[i] for i in indices]
+            runs.append(
+                (first, program, slot_values_from_circuits(program, members), indices)
+            )
+    else:
+        theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
+        count = len(circuits)
+        flat = theta.shape[0] * count
+        runs = []
+        for offset, template in enumerate(circuits):
+            program = cache.get_or_compile(template)
+            thetas = plan_slot_values(cache.plan_for(template, program), theta)
+            runs.append((template, program, thetas, range(offset, flat, count)))
+    if len(noises) != flat:
         raise ValueError(
-            f"{len(noises)} noise specs do not cover {points} points x "
-            f"{len(templates)} templates"
+            f"{len(noises)} noise specs do not align with {flat} circuits"
         )
-    cache = shared_program_cache()
-    num_templates = len(templates)
-    out: list[np.ndarray | None] = [None] * len(noises)
-    for offset, template in enumerate(templates):
-        specs = [noises[p * num_templates + offset] for p in range(points)]
-        program = cache.get_or_compile(template)
-        plan = cache.plan_for(template, program)
-        thetas = _bias_scaled(plan_slot_values(plan, theta), program.slot_gates, specs)
+
+    ideal: list[np.ndarray | None] = [None] * flat
+    widths = [0] * flat
+    for circuit, program, thetas, rows in runs:
+        thetas = _bias_scaled(thetas, program.slot_gates, [noises[i] for i in rows])
         states = execute_program(program, thetas)
-        measured = template.measured_qubits or tuple(range(template.num_qubits))
+        measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
+        probabilities = marginal_probabilities(states, measured, circuit.num_qubits)
+        for index, row in zip(rows, probabilities):
+            ideal[index] = row
+            widths[index] = len(measured)
+
+    out: list[np.ndarray | None] = [None] * flat
+    for width in dict.fromkeys(widths):
+        rows = [i for i in range(flat) if widths[i] == width]
         mixed = _mix_and_confuse(
-            marginal_probabilities(states, measured, template.num_qubits),
-            specs,
-            len(measured),
+            np.stack([ideal[i] for i in rows]), [noises[i] for i in rows], width
         )
-        for point in range(points):
-            out[point * num_templates + offset] = mixed[point]
+        for index, row in zip(rows, mixed):
+            out[index] = row
     return out  # type: ignore[return-value]
 
 
@@ -261,17 +228,15 @@ def _bias_scaled(
 ) -> np.ndarray:
     """Apply per-circuit coherent over-rotation biases to a slot-angle matrix.
 
-    Row ``i`` is multiplied by the same ``(1 + bias)``-at-rotation-slots
-    vector :func:`_ideal_probabilities` builds for one circuit, so the scaled
-    angles are bitwise identical to the sequential path's.
+    Row ``i``'s rotation slots are multiplied by ``(1 + bias_i)``.
     """
     biases = np.array([spec.coherent_bias for spec in noises], dtype=float)
     if not np.any(biases != 0.0):
         return thetas
-    scale = np.ones((len(noises), len(slot_gates)), dtype=float)
-    rotation = np.array([g in _ROTATION_GATES for g in slot_gates], dtype=bool)
-    scale[:, rotation] = (1.0 + biases)[:, None]
-    return thetas * scale
+    rotation = [i for i, g in enumerate(slot_gates) if g in _ROTATION_GATES]
+    scaled = np.array(thetas, dtype=float)
+    scaled[:, rotation] *= (1.0 + biases)[:, None]
+    return scaled
 
 
 def _mix_and_confuse(
@@ -284,23 +249,27 @@ def _mix_and_confuse(
     uniform = np.full_like(ideal, 1.0 / ideal.shape[1])
     mixed = success[:, None] * ideal + (1.0 - success)[:, None] * uniform
 
-    confusions = [_confusion_matrices(spec, num_bits) for spec in noises]
-    with_readout = [bool(c) for c in confusions]
+    pairs = [_readout_pairs(spec, num_bits) for spec in noises]
+    with_readout = [bool(p) for p in pairs]
     if not any(with_readout):
         return mixed
     if all(with_readout):
-        stacks = [
-            np.stack([conf[bit] for conf in confusions])
-            for bit in range(num_bits)
-        ]
-        return apply_readout_error_batch(mixed, stacks)
+        # (bits, batch) error rates -> per-bit (batch, 2, 2) stacks holding
+        # exactly the entries ``readout_confusion_matrix`` builds.
+        p01, p10 = np.array(pairs, dtype=float).T
+        stacks = np.empty((num_bits, len(noises), 2, 2), dtype=float)
+        stacks[..., 0, 0] = 1 - p01
+        stacks[..., 0, 1] = p10
+        stacks[..., 1, 0] = p01
+        stacks[..., 1, 1] = 1 - p10
+        return apply_readout_error_batch(mixed, list(stacks))
     # Mixed batch (some circuits noiseless on readout): fall back row-wise so
     # the no-confusion rows keep the sequential path's skip-renormalize
     # behaviour exactly.
     return np.stack(
         [
-            apply_readout_error(row, conf) if conf else row
-            for row, conf in zip(mixed, confusions)
+            apply_readout_error(row, _confusion_matrices(spec, num_bits)) if p else row
+            for row, spec, p in zip(mixed, noises, pairs)
         ]
     )
 
@@ -319,17 +288,21 @@ def execute_with_mixing(
     return sample_distribution(probs, shots, rng, num_bits=len(measured))
 
 
-def _confusion_matrices(noise: MixingNoiseSpec, num_bits: int) -> list[np.ndarray]:
+def _readout_pairs(
+    noise: MixingNoiseSpec, num_bits: int
+) -> tuple[tuple[float, float], ...]:
+    """Per measured bit ``(p01, p10)``; empty when readout is perfect."""
     if noise.per_qubit_readout:
         if len(noise.per_qubit_readout) < num_bits:
             raise ValueError("per_qubit_readout shorter than the measured register")
-        return [
-            readout_confusion_matrix(p01, p10)
-            for p01, p10 in noise.per_qubit_readout[:num_bits]
-        ]
+        return noise.per_qubit_readout[:num_bits]
     if noise.readout_p01 == 0.0 and noise.readout_p10 == 0.0:
-        return []
+        return ()
+    return ((noise.readout_p01, noise.readout_p10),) * num_bits
+
+
+def _confusion_matrices(noise: MixingNoiseSpec, num_bits: int) -> list[np.ndarray]:
     return [
-        readout_confusion_matrix(noise.readout_p01, noise.readout_p10)
-        for _ in range(num_bits)
+        readout_confusion_matrix(p01, p10)
+        for p01, p10 in _readout_pairs(noise, num_bits)
     ]

@@ -7,7 +7,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-__all__ = ["Counts", "ExecutionResult"]
+__all__ = ["Counts", "ExecutionResult", "outcome_arrays"]
 
 
 class Counts(Mapping[str, int]):
@@ -15,6 +15,10 @@ class Counts(Mapping[str, int]):
 
     Bitstrings follow the library convention: character ``i`` is the outcome
     of measured qubit ``i`` (qubit 0 leftmost).
+
+    Histograms drawn by the samplers hold the multinomial hit indices and
+    hit counts as arrays (see :func:`outcome_arrays`); the string labels of
+    the Mapping API are built from them on first use only.
     """
 
     def __init__(self, data: Mapping[str, int], shots: int | None = None) -> None:
@@ -27,24 +31,38 @@ class Counts(Mapping[str, int]):
         widths = {len(k) for k in clean}
         if len(widths) > 1:
             raise ValueError("all bitstrings in a Counts object must share one width")
-        self._data = clean
+        self._labels: dict[str, int] | None = clean
+        self._hits: tuple[np.ndarray, np.ndarray, int] | None = None
         self._shots = int(shots) if shots is not None else sum(clean.values())
         if self._shots < sum(clean.values()):
             raise ValueError("shots is smaller than the sum of counts")
 
     @classmethod
-    def _from_clean(cls, data: dict[str, int], shots: int) -> "Counts":
-        """Trusted constructor for internal samplers.
+    def _from_hits(
+        cls, indices: np.ndarray, values: np.ndarray, num_bits: int, shots: int
+    ) -> "Counts":
+        """Trusted constructor for the multinomial samplers.
 
-        Skips the per-entry validation of ``__init__`` — callers guarantee
-        string keys of one width and positive integer values (the multinomial
-        samplers build exactly that), which keeps the per-circuit sampling
-        hot path free of redundant re-validation.
+        ``indices`` are the hit outcomes in ascending order and ``values``
+        their positive counts; callers guarantee both, so the sampling hot
+        path skips validation and label formatting.
         """
         counts = cls.__new__(cls)
-        counts._data = data
+        counts._labels = None
+        counts._hits = (indices, values, num_bits)
         counts._shots = shots
         return counts
+
+    @property
+    def _data(self) -> dict[str, int]:
+        """The label-keyed histogram, built from the hit arrays on first use."""
+        if self._labels is None:
+            indices, values, num_bits = self._hits
+            self._labels = {
+                format(index, f"0{num_bits}b"): value
+                for index, value in zip(indices.tolist(), values.tolist())
+            }
+        return self._labels
 
     # Mapping protocol -----------------------------------------------------
     def __getitem__(self, key: str) -> int:
@@ -68,7 +86,9 @@ class Counts(Mapping[str, int]):
     @property
     def num_bits(self) -> int:
         """Width of the measured register (0 for an empty histogram)."""
-        return len(next(iter(self._data))) if self._data else 0
+        if self._hits is not None:
+            return self._hits[2] if len(self._hits[0]) else 0
+        return len(next(iter(self._labels))) if self._labels else 0
 
     def probability(self, bitstring: str) -> float:
         """Empirical probability of one outcome."""
@@ -84,10 +104,9 @@ class Counts(Mapping[str, int]):
 
     def to_array(self) -> np.ndarray:
         """Dense probability vector of length ``2**num_bits``."""
-        n = self.num_bits
+        indices, values, n = outcome_arrays(self)
         vec = np.zeros(1 << n if n else 1, dtype=float)
-        for key, value in self._data.items():
-            vec[int(key, 2)] = value
+        vec[indices] = values
         total = vec.sum()
         return vec / total if total > 0 else vec
 
@@ -105,6 +124,28 @@ class Counts(Mapping[str, int]):
         for key, value in other._data.items():
             merged[key] = merged.get(key, 0) + value
         return Counts(merged, shots=self._shots + other._shots)
+
+
+def outcome_arrays(counts: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(indices, counts, num_bits)`` of any bitstring-keyed histogram.
+
+    Entries follow the mapping's iteration order (zero counts included);
+    ``num_bits`` is 0 for an empty mapping.
+
+    Raises:
+        ValueError: when the bitstrings do not share one width.
+    """
+    hits = getattr(counts, "_hits", None)
+    if hits is not None:
+        indices, values, num_bits = hits
+        return indices, values, num_bits if len(indices) else 0
+    keys = list(counts)
+    num_bits = len(keys[0]) if keys else 0
+    if any(len(key) != num_bits for key in keys):
+        raise ValueError("all bitstrings of a histogram must share one width")
+    indices = np.array([int(key, 2) for key in keys], dtype=np.intp)
+    values = np.array([counts[key] for key in keys], dtype=np.int64)
+    return indices, values, num_bits
 
 
 @dataclass

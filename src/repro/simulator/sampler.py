@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,28 +20,11 @@ __all__ = [
     "distribution_to_counts",
 ]
 
-#: Widths for which the full bitstring-label table is precomputed; wider
-#: registers format labels on demand (the table would hold 2**n strings).
-_MAX_CACHED_LABEL_BITS = 12
-
-
-@lru_cache(maxsize=_MAX_CACHED_LABEL_BITS + 1)
-def _bitstring_labels(num_bits: int) -> tuple[str, ...]:
-    """All ``2**num_bits`` outcome labels, built once per register width."""
-    return tuple(format(index, f"0{num_bits}b") for index in range(1 << num_bits))
-
 
 def _counts_from_draws(draws: np.ndarray, num_bits: int, shots: int) -> Counts:
     """Sparse Counts from a multinomial draw vector (only hit outcomes)."""
-    (hits,) = np.nonzero(draws)
-    if num_bits <= _MAX_CACHED_LABEL_BITS:
-        labels = _bitstring_labels(num_bits)
-        data = {labels[index]: int(draws[index]) for index in hits}
-    else:
-        data = {
-            format(index, f"0{num_bits}b"): int(draws[index]) for index in hits
-        }
-    return Counts._from_clean(data, shots)
+    hits = np.flatnonzero(draws)
+    return Counts._from_hits(hits, draws[hits], num_bits, shots)
 
 
 def sample_distribution(
@@ -64,28 +46,9 @@ def sample_distribution(
     probs = np.asarray(probabilities, dtype=float)
     if probs.ndim != 1:
         raise ValueError("probabilities must be a 1-D vector")
-    if np.any(probs < -1e-9):
-        raise ValueError("probabilities must be non-negative")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("probability vector sums to zero")
-    probs = probs / total
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
     if num_bits is None:
         num_bits = max(1, int(np.round(np.log2(probs.size))))
-    if probs.size != (1 << num_bits):
-        raise ValueError(
-            f"probability vector of length {probs.size} does not match "
-            f"{num_bits} bits"
-        )
-    if shots == 0:
-        return Counts({}, shots=0)
-    draws = rng.multinomial(shots, probs)
-    # Shots are sparse over the 2**n outcomes for n >= 10: only walk the hit
-    # indices instead of enumerating the whole vector.
-    return _counts_from_draws(draws, num_bits, shots)
+    return sample_distribution_batch(probs[None, :], shots, rng, num_bits)[0]
 
 
 def sample_distribution_batch(
@@ -98,10 +61,9 @@ def sample_distribution_batch(
 
     NumPy's ``Generator.multinomial`` consumes the bit stream row by row in
     order, so the draws — and the generator's final state — are **identical**
-    to calling :func:`sample_distribution` once per row with the same RNG
-    (the equivalence is pinned by the test suite).  The per-row validation
-    and renormalization are replicated exactly; only the Python call
-    overhead is batched away.
+    to sampling each row in its own call with the same RNG (the equivalence
+    is pinned by the test suite); only the Python call overhead is batched
+    away.  Each row is validated and renormalized on its own.
 
     Args:
         probabilities: ``(batch, 2**num_bits)`` stack of distributions.
@@ -129,6 +91,8 @@ def sample_distribution_batch(
     if shots == 0:
         return [Counts({}, shots=0) for _ in range(probs.shape[0])]
     draws = rng.multinomial(shots, probs)
+    # Shots are sparse over the 2**n outcomes for n >= 10: keep only the hit
+    # indices and their counts.
     return [_counts_from_draws(row, num_bits, shots) for row in draws]
 
 

@@ -112,3 +112,88 @@ class TestUtilization:
             provider.submit("Belem", [circuit], footprint, now=0.0)
         report = provider.utilization_report()
         assert report["Belem"]["busy_seconds"] > report["Bogota"]["busy_seconds"]
+
+
+class TestSweepSubmission:
+    """A sweep job and the same job submitted as bound circuits are the same
+    job on every submission branch: counts, metadata, durations, finish
+    times, failures and the endpoint RNG stream all agree."""
+
+    DEVICES = ("Belem", "Bogota")
+
+    @staticmethod
+    def _sweep():
+        from repro.vqa import heisenberg_vqe_problem
+        from repro.vqa.gradient import shifted_theta_matrix
+
+        estimator = heisenberg_vqe_problem().estimator
+        templates = estimator.template_circuits()
+        theta = np.random.default_rng(4).uniform(-1.0, 1.0, estimator.num_parameters)
+        footprint = transpile(templates[0], build_qpu("Belem").topology).footprint
+        return templates, shifted_theta_matrix(theta, [2, 9]), footprint
+
+    def _provider(self, branch):
+        from repro.faults import FaultInjector, FaultPlan, OutageWindow
+        from repro.sched import CloudScheduler, WorkloadGenerator
+
+        kwargs = {}
+        if branch == "faults":
+            plan = FaultPlan(
+                seed=3,
+                outages=(OutageWindow(device="Belem", start=200.0, duration=900.0),),
+                transient_failure_rate=0.4,
+                result_timeout_rate=0.2,
+                result_delay_seconds=120.0,
+            )
+            kwargs["fault_injector"] = FaultInjector(plan, seed=5)
+        elif branch == "scheduled":
+            kwargs["scheduler"] = CloudScheduler(
+                policy="fifo", workload=WorkloadGenerator(num_tenants=50), seed=2
+            )
+        qpus = [build_qpu(name) for name in self.DEVICES]
+        return CloudProvider(qpus, seed=7, shots=256, **kwargs)
+
+    @staticmethod
+    def _outcome(provider, submit):
+        try:
+            job = submit()
+        except Exception as error:  # faults branch: compare the failure too
+            return ("failed", type(error).__name__, str(error))
+        return (
+            [dict(result.counts) for result in job.results],
+            [result.metadata for result in job.results],
+            [result.duration_seconds for result in job.results],
+            [result.queue_seconds for result in job.results],
+            job.num_circuits,
+            job.start_time,
+            job.finish_time,
+        )
+
+    @pytest.mark.parametrize("branch", ["statistical", "faults", "scheduled"])
+    def test_sweep_equals_bound_submission(self, branch):
+        templates, matrix, footprint = self._sweep()
+        bound = [t.assign_by_order(row) for row in matrix for t in templates]
+        swept_provider = self._provider(branch)
+        bound_provider = self._provider(branch)
+        for step in range(8):
+            device = self.DEVICES[step % 2]
+            now = 150.0 * step
+            swept = self._outcome(
+                swept_provider,
+                lambda: swept_provider.submit(
+                    device, templates, footprint, now=now, theta_matrix=matrix
+                ),
+            )
+            expected = self._outcome(
+                bound_provider,
+                lambda: bound_provider.submit(device, bound, footprint, now=now),
+            )
+            assert swept == expected
+            if swept[0] != "failed":
+                assert swept[4] == len(bound)
+        assert swept_provider.snapshot_state() == bound_provider.snapshot_state()
+        for device in self.DEVICES:
+            assert (
+                swept_provider._endpoint(device).rng.bit_generator.state
+                == bound_provider._endpoint(device).rng.bit_generator.state
+            )

@@ -10,17 +10,45 @@ from repro.vqa.qnn import QNNProblem, make_synthetic_dataset
 from repro.vqa.tasks import GradientTask
 
 
+def _bound(job):
+    """The job's circuits bound one by one, in execution order."""
+    return [t.assign_by_order(row) for row in job.theta_matrix for t in job.templates]
+
+
 class TestGradientJobSpec:
     def test_alignment_enforced(self):
         from repro.circuit import QuantumCircuit
 
         qc = QuantumCircuit(1).h(0)
         with pytest.raises(ValueError):
-            GradientJobSpec(circuits=(qc,), template_keys=(), templates=())
+            GradientJobSpec(templates=(qc,), template_keys=(), theta_matrix=[[0.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            GradientJobSpec(circuits=(), template_keys=(), templates=())
+            GradientJobSpec(templates=(), template_keys=(), theta_matrix=[[0.0]])
+
+    def test_empty_theta_matrix_rejected(self):
+        from repro.circuit import QuantumCircuit
+
+        qc = QuantumCircuit(1).h(0)
+        with pytest.raises(ValueError):
+            GradientJobSpec(
+                templates=(qc,), template_keys=("k",), theta_matrix=np.empty((0, 1))
+            )
+
+    def test_num_circuits_is_points_times_templates(self, vqe_problem):
+        job = EnergyObjective(vqe_problem.estimator).build_job(
+            GradientTask(task_id=0, parameter_index=1), [0.1] * 16
+        )
+        assert job.num_circuits == job.theta_matrix.shape[0] * len(job.templates)
+        assert len(_bound(job)) == job.num_circuits
+
+    def test_theta_matrix_is_read_only(self, vqe_problem):
+        job = EnergyObjective(vqe_problem.estimator).build_job(
+            GradientTask(task_id=0, parameter_index=1), [0.1] * 16
+        )
+        with pytest.raises(ValueError):
+            job.theta_matrix[0, 0] = 1.0
 
 
 class TestEnergyObjective:
@@ -28,9 +56,10 @@ class TestEnergyObjective:
         objective = EnergyObjective(vqe_problem.estimator)
         task = GradientTask(task_id=0, parameter_index=3)
         job = objective.build_job(task, [0.1] * 16)
-        # forward + backward circuits for each of the 3 measurement groups
-        assert len(job.circuits) == 6
-        assert all(circuit.is_bound for circuit in job.circuits)
+        # forward + backward points over each of the 3 measurement groups
+        assert job.theta_matrix.shape == (2, 16)
+        assert job.num_circuits == 6
+        assert all(circuit.is_bound for circuit in _bound(job))
         assert len(set(job.template_keys)) == 3
 
     def test_gradient_from_ideal_counts_matches_exact(self, vqe_problem, rng):
@@ -38,7 +67,7 @@ class TestEnergyObjective:
         theta = np.linspace(-0.4, 0.6, 16)
         task = GradientTask(task_id=0, parameter_index=7)
         job = objective.build_job(task, theta)
-        counts = [sample_circuit_ideal(c, 40000, rng) for c in job.circuits]
+        counts = [sample_circuit_ideal(c, 40000, rng) for c in _bound(job)]
         estimated = objective.gradient_from_counts(task, counts)
         exact = exact_parameter_shift_gradient(vqe_problem.estimator, theta, 7)
         assert estimated == pytest.approx(exact, abs=0.08)
@@ -68,7 +97,10 @@ class TestQnnObjective:
         task = GradientTask(task_id=0, parameter_index=1, data_index=2)
         job = objective.build_job(task, [0.1] * qnn.num_parameters)
         groups = qnn.estimator_for(2).num_groups
-        assert len(job.circuits) == 3 * groups
+        assert job.num_circuits == 3 * groups
+        theta = np.full(qnn.num_parameters, 0.1)
+        assert np.array_equal(job.theta_matrix[0], theta)
+        assert job.theta_matrix[1, 1] > 0.1 > job.theta_matrix[2, 1]
 
     def test_missing_data_index_rejected(self, qnn):
         objective = QnnObjective(qnn)
@@ -81,7 +113,7 @@ class TestQnnObjective:
         theta = qnn.random_initial_parameters()
         task = GradientTask(task_id=0, parameter_index=2, data_index=1)
         job = objective.build_job(task, theta)
-        counts = [sample_circuit_ideal(c, 30000, rng) for c in job.circuits]
+        counts = [sample_circuit_ideal(c, 30000, rng) for c in _bound(job)]
         estimated = objective.gradient_from_counts(task, counts)
         exact = qnn.sample_gradient(theta, 2, 1)
         assert estimated == pytest.approx(exact, abs=0.1)

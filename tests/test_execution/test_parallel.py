@@ -124,7 +124,7 @@ class TestCircuitsPerJob:
         objective = EnergyObjective(estimator)
         task = GradientTask(task_id=0, parameter_index=1)
         job = objective.build_job(task, np.zeros(estimator.num_parameters))
-        assert objective.circuits_per_job(task) == len(job.circuits)
+        assert objective.circuits_per_job(task) == job.num_circuits
 
     def test_qnn_objective(self):
         from repro.core.objective import QnnObjective
@@ -135,7 +135,7 @@ class TestCircuitsPerJob:
         objective = QnnObjective(problem)
         task = GradientTask(task_id=0, parameter_index=0, data_index=2)
         job = objective.build_job(task, [0.1] * problem.num_parameters)
-        assert objective.circuits_per_job(task) == len(job.circuits)
+        assert objective.circuits_per_job(task) == job.num_circuits
 
 
 def _train(problem, *, workers, start_method=None, epochs=2):

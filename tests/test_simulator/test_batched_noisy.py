@@ -30,7 +30,6 @@ from repro.simulator.mixing import (
     MixingNoiseSpec,
     noisy_probabilities,
     noisy_probabilities_batch,
-    noisy_sweep_probabilities,
 )
 from repro.simulator.sampler import (
     apply_readout_error,
@@ -141,7 +140,7 @@ class TestSweepProbabilities:
         theta = rng.uniform(-np.pi, np.pi, len(template.ordered_parameters()))
         matrix = shifted_theta_matrix(theta)
         specs = [_random_spec(rng, 4) for _ in range(matrix.shape[0])]
-        swept = noisy_sweep_probabilities([template], matrix, specs)
+        swept = noisy_probabilities_batch([template], specs, matrix)
         bound = [template.assign_by_order(row) for row in matrix]
         batched = noisy_probabilities_batch(bound, specs)
         assert len(swept) == len(batched)
